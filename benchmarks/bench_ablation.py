@@ -1,4 +1,4 @@
-"""Ablations over the generator's design choices (DESIGN.md X2).
+"""Ablations over the generator's design choices.
 
 Four axes:
 
@@ -6,7 +6,7 @@ Four axes:
   shapes-only;
 * redundancy pruning: on vs off (the paper's non-redundancy pass);
 * LF3 placement layout: the calibrated ``straddle`` vs the stricter
-  ``all`` (DESIGN.md §3.3);
+  ``all`` (README, "Three-cell layouts");
 * order generalization: whether fixed orders are relaxed to ``⇕``.
 """
 

@@ -1,4 +1,4 @@
-"""Scaling characteristics (DESIGN.md X3).
+"""Scaling characteristics.
 
 * simulator throughput: march operations per second on the faulty SRAM;
 * batch-oracle evaluation time as the fault list grows;

@@ -29,6 +29,8 @@ error messages -- to the equivalent CLI invocation.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -60,17 +62,10 @@ from repro.march.known import ALL_KNOWN, known_march
 from repro.march.test import parse_march
 from repro.march.wordize import wordize
 from repro.service.jobs import JobRunner, JobSpec, fleet_document_text
-from repro.sim.backends import backend_names, get_backend
+from repro.sim.backends import backend_names, check_backend, get_backend
 from repro.sim.supervisor import CampaignExecutionError
 from repro.sim.coverage import CoverageOracle
 from repro.store import QualificationStore
-
-
-def _fault_list(label: str):
-    try:
-        return fault_list_by_label(label)
-    except ValueError as error:
-        raise SystemExit(str(error))
 
 
 def _cmd_lists(args: argparse.Namespace) -> int:
@@ -144,9 +139,18 @@ def _describe_word_mode(oracle) -> None:
               f"backgrounds [{patterns}]")
 
 
+def _known_march(name: str):
+    """A known march by name; an unknown name is a ``ValueError``
+    (``known_march`` raises ``KeyError``, a lookup contract)."""
+    try:
+        return known_march(name)
+    except KeyError as error:
+        raise ValueError(error.args[0]) from None
+
+
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    km = known_march(args.test)
-    oracle = _make_oracle(args, _fault_list(args.fault_list))
+    km = _known_march(args.test)
+    oracle = _make_oracle(args, fault_list_by_label(args.fault_list))
     _describe_word_mode(oracle)
     return _report_outcome(oracle.evaluate(km.test), args)
 
@@ -154,7 +158,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     test = parse_march(args.notation, name="cli march")
     test.check_consistency()
-    oracle = _make_oracle(args, _fault_list(args.fault_list))
+    oracle = _make_oracle(args, fault_list_by_label(args.fault_list))
     if oracle.backgrounds is not None:
         wordized = wordize(test, oracle.width, oracle.backgrounds)
         print(wordized.describe())
@@ -187,37 +191,53 @@ def _resume_command(args: argparse.Namespace) -> str:
     return shlex.join(["repro-march"] + argv)
 
 
+def _check_resume(args: argparse.Namespace) -> None:
+    """``--resume`` picks work up from an existing ``--store``."""
+    if not args.resume:
+        return
+    if not args.store:
+        raise SystemExit("--resume requires --store PATH")
+    if not os.path.exists(args.store):
+        raise SystemExit(
+            f"--resume: store {args.store!r} does not exist (an "
+            f"interrupted run would have left one behind)")
+
+
 def _job_spec(kind: str, args: argparse.Namespace,
               **fields) -> JobSpec:
     """Build the validated :class:`JobSpec` of a subcommand.
 
     The spec raises the exact one-line ``ValueError`` texts the CLI
-    has always printed (and the service returns as HTTP 400s); here
-    they just become the exit message.
+    has always printed (and the service returns as HTTP 400s).
     """
-    try:
-        return JobSpec(
-            kind=kind,
-            backend=args.backend,
-            workers=args.workers,
-            timeout=getattr(args, "timeout", None),
-            chaos=getattr(args, "chaos", None),
-            **fields,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
+    return JobSpec(
+        kind=kind,
+        backend=args.backend,
+        workers=args.workers,
+        timeout=getattr(args, "timeout", None),
+        chaos=getattr(args, "chaos", None),
+        **fields,
+    )
+
+
+def _open_optional_store(path):
+    """Open (or create) a ``--store`` database for a ``with`` block.
+
+    Leaving the block closes the store, which checkpoints its WAL
+    into the main database file on every exit path, so the store is
+    one self-contained artifact (CI uploads bare ``*.sqlite`` paths).
+    Without ``--store`` the block binds ``None``.
+    """
+    if path is None:
+        return contextlib.nullcontext()
+    return QualificationStore(path)
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    import os
-
     # Eager selection checks keep the historical messages: --tests
     # must be *known* names (never notation), --notation must parse.
-    try:
-        for name in args.tests or ():
-            known_march(name)
-    except KeyError as error:
-        raise SystemExit(error.args[0])
+    for name in args.tests or ():
+        _known_march(name)
     for notation in args.notation or ():
         try:
             parse_march(notation, name=notation).check_consistency()
@@ -227,13 +247,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if not tests:
         # No explicit selection: qualify every known march test.
         tests = list(ALL_KNOWN)
-    if args.resume:
-        if not args.store:
-            raise SystemExit("--resume requires --store PATH")
-        if not os.path.exists(args.store):
-            raise SystemExit(
-                f"--resume: store {args.store!r} does not exist (an "
-                f"interrupted run would have left one behind)")
+    _check_resume(args)
     spec = _job_spec(
         "campaign", args,
         tests=tuple(tests),
@@ -243,27 +257,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         shard=_parse_shard(args.shard),
         **_word_kwargs(args),
     )
-    store = _open_optional_store(args.store)
-    try:
+    with _open_optional_store(args.store) as store:
         result = JobRunner(store=store).run(spec).result
-    except KeyboardInterrupt:
-        # Completed chunks were checkpointed as they landed; close
-        # the store (WAL checkpoint) so they are durable, then hand
-        # the user the exact resume command.
-        print()
-        if store is not None:
-            store.close()
-            print(f"interrupted: completed work is checkpointed in "
-                  f"{args.store!r}")
-            print(f"resume with: {_resume_command(args)}")
-        else:
-            print("interrupted: no --store attached, progress was "
-                  "not persisted")
-        return 130
-    except CampaignExecutionError as error:
-        if store is not None:
-            store.close()
-        raise SystemExit(str(error))
     print(result.render())
     print(result.summary())
     if args.verbose:
@@ -278,23 +273,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         with open(args.report_json, "w") as handle:
             handle.write(result.report_json() + "\n")
         print(f"deterministic report written to {args.report_json}")
-    if store is not None:
-        # Checkpoints the WAL into the main database file, so the
-        # store is a single self-contained artifact (CI uploads bare
-        # *.sqlite paths).
-        store.close()
     return 0 if result.complete else 1
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.march.element import parse_address_order
 
-    faults = _fault_list(args.fault_list)
-    allowed_orders = None
-    if args.orders:
-        allowed_orders = tuple(
-            parse_address_order(marker) for marker in args.orders)
+    faults = fault_list_by_label(args.fault_list)
     try:
+        allowed_orders = None
+        if args.orders:
+            allowed_orders = tuple(
+                parse_address_order(marker) for marker in args.orders)
         generator = MarchGenerator(
             faults,
             name=args.name,
@@ -310,34 +300,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise SystemExit(f"invalid generator configuration: {error}")
-    result = generator.generate()
+    # The generator opened --store itself; closing it on the way out
+    # checkpoints the WAL into the main file.
+    with (contextlib.nullcontext() if generator.store is None
+          else generator.store):
+        result = generator.generate()
     print(result.describe())
     if args.verbose:
         print("unpruned:", result.unpruned.describe())
         for step in result.trace:
             print("  ", step)
-    if generator.store is not None:
-        generator.store.close()  # checkpoint WAL into the main file
     return 0 if result.complete else 1
 
 
-def _open_optional_store(path):
-    """Open (or create) a ``--store`` database; one-line error."""
-    if path is None:
-        return None
-    try:
-        return QualificationStore(path)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def _build_cli_dictionary(args: argparse.Namespace):
-    """The fault dictionary a diagnosis subcommand operates on.
-
-    Returns ``(dictionary, store)``; the caller closes the store
-    (checkpointing the WAL into the main file) when one was opened.
-    """
-    spec = _job_spec(
+def _dictionary_spec(args: argparse.Namespace) -> JobSpec:
+    """The dictionary job a diagnosis subcommand operates on."""
+    return _job_spec(
         "dictionary", args,
         tests=(args.test,),
         fault_lists=(args.fault_list,),
@@ -345,31 +323,6 @@ def _build_cli_dictionary(args: argparse.Namespace):
         lf3_layouts=(args.lf3_layout,),
         **_word_kwargs(args),
     )
-    store = _open_optional_store(args.store)
-    try:
-        dictionary = JobRunner(store=store).run(spec).result
-    except ValueError as error:
-        if store is not None:
-            store.close()
-        raise SystemExit(f"invalid dictionary build: {error}")
-    except KeyboardInterrupt:
-        # Finished signature rows were recorded incrementally;
-        # checkpoint them and point at the warm-resume property.
-        print()
-        if store is not None:
-            store.close()
-            print(f"interrupted: completed signature rows are "
-                  f"checkpointed in {args.store!r}; re-running the "
-                  f"same command resumes without re-simulating them")
-        else:
-            print("interrupted: no --store attached, progress was "
-                  "not persisted")
-        raise SystemExit(130)
-    except CampaignExecutionError as error:
-        if store is not None:
-            store.close()
-        raise SystemExit(str(error))
-    return dictionary, store
 
 
 def _cmd_dictionary(args: argparse.Namespace) -> int:
@@ -379,24 +332,21 @@ def _cmd_dictionary(args: argparse.Namespace) -> int:
     )
     from repro.diagnosis import ambiguity_report
 
-    dictionary, store = _build_cli_dictionary(args)
-    try:
-        report = ambiguity_report(dictionary)
-        print(render_dictionary_summary(dictionary, report))
-        if args.ambiguity:
-            print(render_ambiguity_table(report, limit=args.limit))
-        if args.json:
-            with open(args.json, "w") as handle:
-                handle.write(dictionary.to_json() + "\n")
-            print(f"dictionary written to {args.json}")
-        if args.ambiguity_json:
-            with open(args.ambiguity_json, "w") as handle:
-                handle.write(report.to_json() + "\n")
-            print(f"ambiguity report written to "
-                  f"{args.ambiguity_json}")
-    finally:
-        if store is not None:
-            store.close()  # checkpoint WAL into the main file
+    spec = _dictionary_spec(args)
+    with _open_optional_store(args.store) as store:
+        dictionary = JobRunner(store=store).run(spec).result
+    report = ambiguity_report(dictionary)
+    print(render_dictionary_summary(dictionary, report))
+    if args.ambiguity:
+        print(render_ambiguity_table(report, limit=args.limit))
+    if args.json:
+        with open(args.json, "w") as handle:
+            handle.write(dictionary.to_json() + "\n")
+        print(f"dictionary written to {args.json}")
+    if args.ambiguity_json:
+        with open(args.ambiguity_json, "w") as handle:
+            handle.write(report.to_json() + "\n")
+        print(f"ambiguity report written to {args.ambiguity_json}")
     return 0
 
 
@@ -432,8 +382,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         signature_str,
     )
 
-    dictionary, store = _build_cli_dictionary(args)
-    try:
+    spec = _dictionary_spec(args)
+    with _open_optional_store(args.store) as store:
+        dictionary = JobRunner(store=store).run(spec).result
         signature = _observed_signature(args, dictionary)
         cls = diagnose(dictionary, signature)
         if args.json:
@@ -504,9 +455,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             if args.verbose:
                 for step in result.trace:
                     print("  ", step)
-    finally:
-        if store is not None:
-            store.close()  # checkpoint WAL into the main file
     return 0
 
 
@@ -541,28 +489,18 @@ def _cmd_bist(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import os
-
     from repro.diagnosis import load_fleet_spec
 
     try:
         fleet_spec = load_fleet_spec(args.spec)
     except OSError as error:
         raise SystemExit(f"cannot read fleet spec: {error}")
-    except ValueError as error:
-        raise SystemExit(str(error))
     march = args.test or fleet_spec.march
     if march is None:
         raise SystemExit(
             "no march test selected: pass --test or set 'march' in "
             "the fleet spec")
-    if args.resume:
-        if not args.store:
-            raise SystemExit("--resume requires --store PATH")
-        if not os.path.exists(args.store):
-            raise SystemExit(
-                f"--resume: store {args.store!r} does not exist (an "
-                f"interrupted run would have left one behind)")
+    _check_resume(args)
     spec = _job_spec(
         "fleet", args,
         tests=(march,),
@@ -570,31 +508,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             args.fault_list or fleet_spec.fault_list or "2",),
         fleet=fleet_document_text(fleet_spec),
     )
-    store = _open_optional_store(args.store)
-    try:
+    with _open_optional_store(args.store) as store:
         report = JobRunner(store=store).run(spec).result
-    except ValueError as error:
-        if store is not None:
-            store.close()
-        raise SystemExit(f"invalid fleet run: {error}")
-    except KeyboardInterrupt:
-        # Finished signature rows were checkpointed per fault; close
-        # the store (WAL checkpoint) and hand back the exact resume
-        # command, mirroring the campaign interrupt path.
-        print()
-        if store is not None:
-            store.close()
-            print(f"interrupted: completed signature rows are "
-                  f"checkpointed in {args.store!r}")
-            print(f"resume with: {_resume_command(args)}")
-        else:
-            print("interrupted: no --store attached, progress was "
-                  "not persisted")
-        return 130
-    except CampaignExecutionError as error:
-        if store is not None:
-            store.close()
-        raise SystemExit(str(error))
     print(report.render())
     if args.verbose:
         for row in report.report_dict()["geometries"]:
@@ -617,8 +532,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             handle.write(report.report_json() + "\n")
         print(f"deterministic fleet report written to "
               f"{args.report_json}")
-    if store is not None:
-        store.close()  # checkpoint WAL into the main file
     return 0 if report.all_diagnosed else 1
 
 
@@ -698,22 +611,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _open_existing_store(path: str) -> QualificationStore:
-    import os
-
     if not os.path.exists(path):
         raise SystemExit(f"qualification store {path!r} does not exist")
-    try:
-        return QualificationStore(path)
-    except ValueError as error:
-        raise SystemExit(str(error))
+    return QualificationStore(path)
 
 
 def _cmd_store_stats(args: argparse.Namespace) -> int:
     import json as json_module
 
-    store = _open_existing_store(args.store)
-    stats = store.stats()
-    store.close()
+    with _open_existing_store(args.path) as store:
+        stats = store.stats()
     if args.json:
         print(json_module.dumps(stats, indent=2))
         return 0
@@ -731,38 +638,34 @@ def _cmd_store_merge(args: argparse.Namespace) -> int:
     # Open every source before creating/mutating the destination: a
     # typo in the third path must not leave a half-merged destination
     # behind (atomic-or-no-op).
-    sources = [_open_existing_store(path) for path in args.sources]
-    try:
-        destination = QualificationStore(args.destination)
-    except ValueError as error:
-        raise SystemExit(str(error))
-    total = 0
-    for path, source in zip(args.sources, sources):
-        added = destination.merge(source)
-        print(f"merged {path}: +{added} row(s)")
-        total += added
-        source.close()
-    print(f"{args.destination}: {len(destination)} row(s) "
-          f"({total} added)")
-    destination.close()  # checkpoint WAL into the main file
+    with contextlib.ExitStack() as stores:
+        sources = [stores.enter_context(_open_existing_store(path))
+                   for path in args.sources]
+        destination = stores.enter_context(
+            QualificationStore(args.destination))
+        total = 0
+        for path, source in zip(args.sources, sources):
+            added = destination.merge(source)
+            print(f"merged {path}: +{added} row(s)")
+            total += added
+        print(f"{args.destination}: {len(destination)} row(s) "
+              f"({total} added)")
     return 0
 
 
 def _cmd_store_gc(args: argparse.Namespace) -> int:
-    store = _open_existing_store(args.store)
-    reclaimed = store.gc()
-    print(f"reclaimed {reclaimed} stale row(s); "
-          f"{len(store)} row(s) remain")
-    store.close()
+    with _open_existing_store(args.path) as store:
+        reclaimed = store.gc()
+        print(f"reclaimed {reclaimed} stale row(s); "
+              f"{len(store)} row(s) remain")
     return 0
 
 
 def _cmd_store_export(args: argparse.Namespace) -> int:
     import json as json_module
 
-    store = _open_existing_store(args.store)
-    text = json_module.dumps(store.export(), indent=2)
-    store.close()
+    with _open_existing_store(args.path) as store:
+        text = json_module.dumps(store.export(), indent=2)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
@@ -781,6 +684,19 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     else:
         raise SystemExit(f"unknown figure {args.which!r}")
     return 0
+
+
+def _port(text: str) -> int:
+    """The ``serve --port`` type: a TCP port number, 0-65535."""
+    try:
+        port = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"port must be 0-65535, got {port}")
+    return port
 
 
 def _add_word_arguments(parser: argparse.ArgumentParser) -> None:
@@ -1156,7 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", metavar="ADDR",
         help="bind address (default 127.0.0.1)")
     serve.add_argument(
-        "--port", type=int, default=8765, metavar="PORT",
+        "--port", type=_port, default=8765, metavar="PORT",
         help="TCP port (default 8765; 0 binds an ephemeral port, "
              "printed on startup and recorded by --json)")
     serve.add_argument(
@@ -1190,7 +1106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_stats = store_sub.add_parser(
         "stats", help="row counts, version stamps and payload size")
-    store_stats.add_argument("store", help="store database path")
+    store_stats.add_argument("path", metavar="store",
+                             help="store database path")
     store_stats.add_argument("--json", action="store_true",
                              help="emit machine-readable JSON")
     store_stats.set_defaults(func=_cmd_store_stats)
@@ -1207,12 +1124,14 @@ def build_parser() -> argparse.ArgumentParser:
     store_gc = store_sub.add_parser(
         "gc", help="reclaim rows stamped with stale schema/semantics "
                    "versions")
-    store_gc.add_argument("store", help="store database path")
+    store_gc.add_argument("path", metavar="store",
+                          help="store database path")
     store_gc.set_defaults(func=_cmd_store_gc)
 
     store_export = store_sub.add_parser(
         "export", help="dump the store as JSON (artifact-friendly)")
-    store_export.add_argument("store", help="store database path")
+    store_export.add_argument("path", metavar="store",
+                              help="store database path")
     store_export.add_argument(
         "--output", metavar="PATH",
         help="write to a file instead of stdout")
@@ -1243,19 +1162,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_interrupted(args: argparse.Namespace) -> None:
+    """The drain message of a Ctrl-C.
+
+    By the time it prints, every ``with`` block has closed its store,
+    so the work checkpointed as it landed is durable.
+    """
+    print()
+    store = getattr(args, "store", None)
+    if store is None:
+        print("interrupted: no --store attached, progress was not "
+              "persisted")
+        return
+    if hasattr(args, "resume"):
+        print(f"interrupted: completed work is checkpointed in "
+              f"{store!r}")
+        print(f"resume with: {_resume_command(args)}")
+    else:
+        print(f"interrupted: completed work is checkpointed in "
+              f"{store!r}; re-running the same command resumes "
+              f"without re-simulating it")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point and its one error boundary.
+
+    Bad input (``ValueError``, which covers ``MarchConsistencyError``),
+    unreadable or unwritable paths (``OSError``) and a campaign that
+    failed past every retry exit 1 with the exception's one-line text
+    on stderr, never a traceback.  Ctrl-C prints the drain message and
+    exits 130.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The raw invocation, kept so interrupt handlers can print the
+    # The raw invocation, kept so the interrupt message can print the
     # exact resume command.
     args._argv = list(sys.argv[1:] if argv is None else argv)
-    backend = getattr(args, "backend", None)
-    if backend is not None and backend not in backend_names():
-        raise SystemExit(
-            f"unknown simulation backend {backend!r}; "
-            f"choose from {', '.join(backend_names())}")
-    return args.func(args)
+    try:
+        # Checked before any command (or campaign worker fan-out)
+        # runs: deep inside a pool is too late to learn the name.
+        if getattr(args, "backend", None) is not None:
+            check_backend(args.backend)
+        return args.func(args)
+    except KeyboardInterrupt:
+        _print_interrupted(args)
+        return 130
+    except (ValueError, OSError, CampaignExecutionError) as error:
+        raise SystemExit(str(error)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -7,8 +7,7 @@ Hamdioui et al. (TCAD 2004):
   faults;
 * **Fault List #2** -- the single-cell static linked faults only.
 
-The original tables are behind a paywall; following DESIGN.md §3.2 we
-derive the lists combinatorially from the published linking conditions
+The original tables are behind a paywall; we derive the lists combinatorially from the published linking conditions
 (Definitions 6/7) plus the realism filters of the linked-fault
 literature:
 
@@ -36,7 +35,7 @@ that the paper's own March ABL / ABL1 (and the state-of-the-art March
 SL) achieve exactly 100 % simulated coverage on them, which is the
 calibration anchor tying our derivation to the paper's lists (March
 RABL measures 872/876: four read-disturb LF2aa pairs escape; see
-EXPERIMENTS.md).
+README, "Reproduction notes").
 """
 
 from __future__ import annotations
@@ -184,7 +183,7 @@ def lf3_faults() -> Tuple[LinkedFault, ...]:
 
     Same component space as :func:`lf2aa_faults` (24 x 14 = 336); the
     placement machinery assigns the two aggressors to different cells
-    straddling the victim (DESIGN.md §3.3).
+    straddling the victim (README, "Three-cell layouts").
     """
     faults: List[LinkedFault] = []
     for fp1 in _two_cell_fp1_candidates():

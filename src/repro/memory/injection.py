@@ -3,7 +3,7 @@
 A :class:`FaultInstance` is what the simulator executes: one or two
 fault primitives bound to concrete cell addresses.  Simple faults bind
 a single FP; linked faults bind both components so that masking can
-emerge operationally (DESIGN.md §3.1).
+emerge operationally (semantics in :mod:`repro.memory.sram`).
 
 The binding keeps the declaration order of the FPs: when one memory
 operation sensitizes several bound primitives their effects apply in

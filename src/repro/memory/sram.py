@@ -5,7 +5,7 @@ ref. [13]): a word-of-one-bit cell array whose read/write/wait
 operations consult the bound fault primitives of a
 :class:`~repro.memory.injection.FaultInstance`.
 
-Operational semantics (DESIGN.md §3.1):
+Operational semantics:
 
 * sensitization is evaluated against the **pre-operation** cell states;
 * the base operation applies first (a write stores its value), then the

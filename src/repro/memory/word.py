@@ -8,7 +8,8 @@ makes the word workload trustworthy: fault injection, sensitization,
 masking and state-fault settling are the *same code* the bit-oriented
 simulator runs -- word semantics add only the lane loop.
 
-Operational semantics (the word-mode extension of DESIGN.md §3.1):
+Operational semantics (the word-mode extension of the bit-level rules
+in :mod:`repro.memory.sram`):
 
 * a word write applies its lane values in ascending lane order, one
   cell write per lane; a word read reads the lanes in ascending order.

@@ -194,14 +194,28 @@ def backend_names() -> Tuple[str, ...]:
     return ("auto",) + tuple(_REGISTRY)
 
 
+def check_backend(name: str) -> str:
+    """*name* if it is an accepted ``backend=`` selector.
+
+    Raises:
+        ValueError: the one-line text every surface (CLI, job spec,
+            library constructors) shows for an unknown selector.
+    """
+    if name not in backend_names():
+        raise ValueError(
+            f"unknown simulation backend {name!r}; "
+            f"choose from {', '.join(backend_names())}")
+    return name
+
+
 def get_backend(name: str) -> Backend:
     """The registered backend called *name* (never ``"auto"``)."""
     try:
-        return _REGISTRY[name]
+        return _REGISTRY[check_backend(name)]
     except KeyError:
         raise ValueError(
-            f"unknown simulation backend {name!r}; "
-            f"choose from {backend_names()}")
+            f"{name!r} is a selector, not a backend; pass it to "
+            f"resolve_backend()") from None
 
 
 def resolve_backend(

@@ -248,8 +248,8 @@ class CoverageOracle:
 
     Args:
         faults: the coverage targets (linked faults and/or simple FPs).
-        memory_size: simulated memory size (default 3; see DESIGN.md
-            §3.3).
+        memory_size: simulated memory size (default 3; see README,
+            "Three-cell layouts").
         exhaustive_limit: threshold for exhaustive ``⇕`` resolution
             enumeration.
         lf3_layout: three-cell placement policy (``"straddle"`` default

@@ -24,7 +24,7 @@ from typing import List, Tuple
 #: a distinct relative order while keeping simulation cheap.
 DEFAULT_MEMORY_SIZE = 3
 
-#: Three-cell layout policies (see DESIGN.md §3.3 and EXPERIMENTS.md):
+#: Three-cell layout policies (see README, "Three-cell layouts"):
 #:
 #: * ``"straddle"`` -- the victim sits between the two aggressors
 #:   (``a1 < v < a2`` and ``a2 < v < a1``), our reading of the paper's

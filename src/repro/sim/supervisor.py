@@ -74,10 +74,7 @@ class SupervisorPolicy:
             unbounded; required for hang recovery).  The budget
             covers a chunk's own execution: a chunk still queued
             behind a busy pool has its clock restarted rather than
-            taking a timeout strike.  (One caveat: the pool
-            pre-dispatches a single queued item per run, which can
-            take a spurious strike behind a hung worker -- it is
-            simply retried.)
+            taking a timeout strike.
         max_retries: pool attempts beyond the first before a chunk is
             degraded to in-process execution.
         backoff_base: first retry delay in seconds (doubled per
@@ -448,17 +445,23 @@ class Supervisor:
             if broken is not None:
                 continue
             now = time.monotonic()
+            due = [future for future, record in in_flight.items()
+                   if record[2] is not None and now >= record[2]]
+            # The pool also pre-dispatches queued chunks into its call
+            # queue, where they report running() too.  Workers take
+            # chunks in submission order (in_flight's order), so only
+            # the first `workers` running chunks can be executing.
+            executing = [future for future in in_flight
+                         if future.running()][:self.workers] if due else []
             expired = []
-            for future, record in in_flight.items():
-                if record[2] is None or now < record[2]:
-                    continue
-                if future.running():
+            for future in due:
+                if future in executing:
                     expired.append(future)
                 else:
                     # Still queued behind a busy pool -- the budget
                     # measures the chunk's own execution, so restart
                     # its clock instead of blaming it.
-                    record[2] = now + self.policy.timeout
+                    in_flight[future][2] = now + self.policy.timeout
             if expired:
                 # A hung worker holds its pool slot forever; replace
                 # the pool.  Expired chunks take a timeout strike;

@@ -1,7 +1,7 @@
 """Integration anchors: the reproduction's calibration claims.
 
 These tests tie our fault semantics, list derivation and placement
-interpretation to the paper (DESIGN.md §6):
+interpretation to the paper (README, "Reproduction notes"):
 
 * the paper's generated March ABL and March ABL1 achieve exactly 100 %
   simulated coverage of their target fault lists;
@@ -59,7 +59,8 @@ class TestPaperTestAnchors:
 
     def test_march_rabl_measured_coverage(self, oracle_fl1):
         """Reproduction finding: RABL misses exactly the four LF2aa
-        pairs built on read-disturb CFds components (EXPERIMENTS.md)."""
+        pairs built on read-disturb CFds components (README, "Recorded
+        results")."""
         report = oracle_fl1.evaluate(MARCH_RABL.test)
         escaped = sorted(f.name for f in report.escaped_faults)
         assert escaped == [
@@ -95,7 +96,8 @@ class TestMaskingMatters:
 
 
 class TestLayoutSensitivity:
-    """The Figure 1 placement interpretation (DESIGN.md §3.3)."""
+    """The Figure 1 placement interpretation (README, "Three-cell
+    layouts")."""
 
     def test_abl_under_strict_layout_loses_lf3_pairs(self):
         strict = CoverageOracle(fault_list_1(), lf3_layout="all")

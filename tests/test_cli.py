@@ -57,10 +57,6 @@ class TestCommands:
         assert code == 0
         assert "(9n)" in capsys.readouterr().out
 
-    def test_simulate_rejects_inconsistent_march(self):
-        with pytest.raises(Exception):
-            main(["simulate", "U(r1)", "--fault-list", "2"])
-
     def test_generate_small_list(self, capsys):
         code = main(["generate", "--fault-list", "lf1", "--verbose",
                      "--name", "cli-gen"])
@@ -240,6 +236,131 @@ class TestErrorPaths:
         assert "invalid distinguish run" in message
 
 
+def _stored_rows(path) -> int:
+    """Rows a live campaign has checkpointed into *path* so far."""
+    import sqlite3
+    from contextlib import closing
+
+    if not path.exists():
+        return 0
+    try:
+        with closing(sqlite3.connect(f"file:{path}?mode=ro",
+                                     uri=True)) as db:
+            return db.execute(
+                "SELECT COUNT(*) FROM qualifications").fetchone()[0]
+    except sqlite3.Error:  # schema not created yet, or busy
+        return 0
+
+
+#: Bad invocations and the text their one-line error carries.
+#: ``{tmp}`` is a per-test directory; ``missing/`` under it never
+#: exists.
+BAD_INPUT = [
+    pytest.param(["coverage", "March Nope"],
+                 "unknown march 'March Nope'; available: [",
+                 id="coverage-unknown-march"),
+    pytest.param(["campaign", "--tests", "March Nope",
+                  "--fault-lists", "2"],
+                 "unknown march 'March Nope'; available: [",
+                 id="campaign-unknown-march"),
+    pytest.param(["bist", "March Nope"],
+                 "'March Nope' is neither a known march test nor "
+                 "valid notation",
+                 id="bist-unknown-march"),
+    pytest.param(["simulate", "c(w0) U(r0,w1"], "unparsed fragments",
+                 id="simulate-malformed"),
+    pytest.param(["simulate", "c(w0) c(r1)"],
+                 "disagrees with fault-free value",
+                 id="simulate-disagrees"),
+    pytest.param(["simulate", "U(r1)", "--fault-list", "2"],
+                 "observes an uninitialized cell",
+                 id="simulate-inconsistent"),
+    pytest.param(["generate", "--fault-list", "lf1", "--orders", "Q"],
+                 "invalid generator configuration: unknown address "
+                 "order 'Q'",
+                 id="generate-bad-orders"),
+    pytest.param(["campaign", "--tests", "March SL", "--fault-lists",
+                  "lf1", "--report-json", "{tmp}/missing/r.json"],
+                 "No such file or directory",
+                 id="campaign-unwritable-report"),
+    pytest.param(["fleet", "{tmp}/missing/fleet.json"],
+                 "cannot read fleet spec: [Errno 2]",
+                 id="fleet-missing"),
+    pytest.param(["fleet", "{tmp}/not-json.json"], "as JSON",
+                 id="fleet-not-json"),
+    pytest.param(["store", "stats", "{tmp}/missing/q.sqlite"],
+                 "does not exist",
+                 id="store-missing"),
+    pytest.param(["serve", "--port", "70000"],
+                 "argument --port: port must be 0-65535, got 70000",
+                 id="serve-port-too-high"),
+    pytest.param(["serve", "--port", "-5"],
+                 "argument --port: port must be 0-65535, got -5",
+                 id="serve-port-negative"),
+]
+
+#: The rows also run as real processes, to see stderr end to end.
+SUBPROCESS_ROWS = [
+    row for row in BAD_INPUT
+    if row.id in ("coverage-unknown-march", "simulate-malformed",
+                  "generate-bad-orders", "fleet-not-json",
+                  "serve-port-too-high")]
+
+
+class TestBadInput:
+    """Every bad invocation exits non-zero with one line, no traceback.
+
+    ``main()`` is the single error boundary: input errors surface as
+    the exception's one-line text (argparse-level ones as argparse's
+    usage error), never as a Python traceback.
+    """
+
+    @staticmethod
+    def _argv(argv, tmp_path):
+        (tmp_path / "not-json.json").write_text("not json\n")
+        return [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+
+    @pytest.mark.parametrize("argv,expected", BAD_INPUT)
+    def test_exits_with_one_line(self, argv, expected, tmp_path,
+                                 capsys):
+        message = _one_line_exit(self._argv(argv, tmp_path))
+        if message == "2":
+            # argparse printed its error line to stderr and exited
+            # with the bare status.
+            message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert expected in message
+
+    @pytest.mark.parametrize("argv,expected", SUBPROCESS_ROWS)
+    def test_subprocess_stderr_has_no_traceback(self, argv, expected,
+                                                tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli"]
+            + self._argv(argv, tmp_path),
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert expected in proc.stderr.strip().splitlines()[-1]
+
+    def test_unwritable_report_still_closes_the_store(self, tmp_path):
+        # The report path fails only after the campaign ran; the
+        # store block has closed (WAL checkpointed) by then.
+        store_path = tmp_path / "q.sqlite"
+        _one_line_exit(
+            ["campaign", "--tests", "March SL", "--fault-lists", "lf1",
+             "--store", str(store_path),
+             "--report-json", str(tmp_path / "missing" / "r.json")])
+        assert not (tmp_path / "q.sqlite-wal").exists()
+        assert _stored_rows(store_path) > 0
+
+
 class TestResilienceCli:
     """--chaos / --timeout flags and graceful interrupt handling."""
 
@@ -301,6 +422,7 @@ class TestResilienceCli:
         130, leave the completed chunks in the store, and print the
         exact resume command."""
         import os
+        import shlex
         import signal
         import subprocess
         import sys
@@ -315,19 +437,29 @@ class TestResilienceCli:
             os.pathsep + env["PYTHONPATH"]
             if env.get("PYTHONPATH") else "")
         store_path = tmp_path / "interrupted.sqlite"
+        argv = ["campaign", "--fault-lists", "1", "--sizes", "4",
+                "--workers", "2", "--store", str(store_path)]
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "campaign",
-             "--fault-lists", "1", "--sizes", "4", "--workers", "2",
-             "--store", str(store_path)],
+            [sys.executable, "-m", "repro.cli"] + argv,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env)
-        time.sleep(3.0)  # let a few chunks complete and checkpoint
+        # Interrupt once the first chunk has been checkpointed.
+        deadline = time.monotonic() + 60.0
+        while _stored_rows(store_path) == 0:
+            assert proc.poll() is None, "campaign ended before SIGINT"
+            assert time.monotonic() < deadline, "no checkpoint in 60 s"
+            time.sleep(0.05)
         proc.send_signal(signal.SIGINT)
         out, _ = proc.communicate(timeout=60)
         assert proc.returncode == 130, out
         assert "interrupted" in out
         assert "--resume" in out
         assert str(store_path) in out
+        # The unified interrupt path: the drain message, never a
+        # traceback, and the exact command that resumes the run.
+        assert "Traceback" not in out
+        assert f"resume with: repro-march {shlex.join(argv)} --resume" \
+            in out
         # The drained checkpoints are durable and readable.
         store = QualificationStore(store_path)
         assert len(store) > 0

@@ -22,7 +22,8 @@ from repro.faults.primitives import FaultClass
 
 
 class TestClassSizes:
-    """The derivation's class sizes are pinned (DESIGN.md §3.2)."""
+    """The derivation's class sizes are pinned (README, "Fault
+    lists")."""
 
     def test_lf1(self):
         assert len(lf1_faults()) == 24

@@ -143,7 +143,8 @@ class TestFaultInvariants:
 class TestPlacementInvariance:
     """Detection of a static fault depends only on the relative order
     of its bound cells, not on their absolute positions (the property
-    the placement enumeration relies on, DESIGN.md §3.3)."""
+    the placement enumeration relies on, README "Three-cell
+    layouts")."""
 
     @given(
         st.sampled_from([fp for fp in TWO_CELL_FPS if fp.op is not None]),

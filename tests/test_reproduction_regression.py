@@ -1,8 +1,8 @@
 """Regression pins for the headline reproduction outcomes.
 
-These tests freeze the quantitative results EXPERIMENTS.md reports, so
-any semantic drift in the fault models, the simulator or the generator
-shows up as a failure here rather than as a silent change of the
+These tests freeze the quantitative results the README reports under
+"Recorded results", so any semantic drift in the fault models, the
+simulator or the generator shows up as a failure here rather than as a silent change of the
 reproduction's claims.  Complexity pins use inequalities where the
 generator's search order may legitimately evolve, and exact values
 where the paper's numbers are matched exactly.

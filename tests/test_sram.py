@@ -1,7 +1,8 @@
 """Operational semantics tests for the faulty SRAM simulator.
 
 Each canonical FFM family gets a behavioural scenario: these tests pin
-the semantics of DESIGN.md §3.1 operation by operation.
+the semantics documented in :mod:`repro.memory.sram` operation by
+operation.
 """
 
 import pytest

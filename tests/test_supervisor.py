@@ -195,9 +195,9 @@ class TestRecovery:
     def test_innocent_chunks_survive_a_timeout(self, tmp_path):
         # Chunks queued behind a hung worker must not take a timeout
         # strike: the budget measures a chunk's own execution, so
-        # they are resubmitted silently after the pool respawn.  (The
-        # pool pre-dispatches one queued item, which may take a
-        # spurious strike -- hence the assertion skips "queued 1".)
+        # they are resubmitted silently after the pool respawn.  The
+        # pool pre-dispatches queued items into its call queue, where
+        # they look running; the supervisor must not strike them.
         marker = str(tmp_path / "hang")
         policy = SupervisorPolicy(timeout=0.75, backoff_base=0.0)
         tasks = [SupervisedTask(
